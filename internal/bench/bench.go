@@ -15,108 +15,210 @@ package bench
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"strings"
+	"unicode"
+	"unicode/utf8"
 
 	"superpose/internal/netlist"
+	"superpose/internal/textio"
 )
 
 // Parse reads a .bench netlist from r. The name is attached to the
 // resulting netlist (the format itself carries no name).
+//
+// Lines are tokenized in place from a fixed bufio window, net names
+// intern through netlist.Builder's byte-token API (allocating only on
+// first sight of a symbol), and fanins land in the builder's flat arena.
+// Peak memory is the interned symbol table plus the arenas rather than
+// per-line garbage, which is what lets 10⁶–10⁷-gate files ingest within
+// a few times their CSR footprint. The fuzz target holds Parse to
+// gate-for-gate agreement with the original map-based parser kept in
+// internal/oracle.
 func Parse(r io.Reader, name string) (*netlist.Netlist, error) {
-	b := netlist.NewBuilder(name)
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
+	return ParseStreamSized(r, name, 0)
+}
+
+// ParseStreamSized is Parse with a pre-sizing hint for the expected
+// number of nets (see netlist.NewSizedBuilder).
+func ParseStreamSized(r io.Reader, name string, sizeHint int) (*netlist.Netlist, error) {
+	b := netlist.NewSizedBuilder(name, sizeHint)
+	lines := textio.NewLines(r, maxLine)
+	var ids []int32 // reusable per-line fanin scratch
 	lineno := 0
-	for sc.Scan() {
+	for {
+		line, err := lines.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", name, err)
+		}
 		lineno++
-		line := sc.Text()
-		if i := strings.IndexByte(line, '#'); i >= 0 {
+		if i := bytes.IndexByte(line, '#'); i >= 0 {
 			line = line[:i]
 		}
-		line = strings.TrimSpace(line)
-		if line == "" {
+		line = bytes.TrimSpace(line)
+		if len(line) == 0 {
 			continue
 		}
-		if err := parseLine(b, line); err != nil {
+		if ids, err = parseLine(b, line, ids); err != nil {
 			return nil, fmt.Errorf("%s:%d: %w", name, lineno, err)
 		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("%s: %w", name, err)
 	}
 	return b.Build()
 }
 
-func parseLine(b *netlist.Builder, line string) error {
+// maxLine is the longest line Parse accepts.
+const maxLine = 16 * 1024 * 1024
+
+func parseLine(b *netlist.Builder, line []byte, ids []int32) ([]int32, error) {
 	// Directive form: INPUT(x) / OUTPUT(x).
-	if upper := strings.ToUpper(line); strings.HasPrefix(upper, "INPUT(") || strings.HasPrefix(upper, "OUTPUT(") {
-		open := strings.IndexByte(line, '(')
-		closeIdx := strings.LastIndexByte(line, ')')
+	isInput := hasUpperPrefix(line, "INPUT(")
+	if isInput || hasUpperPrefix(line, "OUTPUT(") {
+		open := bytes.IndexByte(line, '(')
+		closeIdx := bytes.LastIndexByte(line, ')')
 		if closeIdx < open {
-			return fmt.Errorf("malformed directive %q", line)
+			return ids, fmt.Errorf("malformed directive %q", line)
 		}
-		arg := strings.TrimSpace(line[open+1 : closeIdx])
-		if arg == "" {
-			return fmt.Errorf("empty net name in %q", line)
+		arg := bytes.TrimSpace(line[open+1 : closeIdx])
+		if len(arg) == 0 {
+			return ids, fmt.Errorf("empty net name in %q", line)
 		}
-		if strings.HasPrefix(upper, "INPUT(") {
-			_, err := b.AddInput(arg)
-			return err
+		if isInput {
+			return ids, b.DefineInput(b.Intern(arg))
 		}
-		b.MarkOutput(arg)
-		return nil
+		b.MarkOutput(string(arg))
+		return ids, nil
 	}
 
 	// Assignment form: name = TYPE(f1, f2, ...).
-	eq := strings.IndexByte(line, '=')
+	eq := bytes.IndexByte(line, '=')
 	if eq < 0 {
-		return fmt.Errorf("expected assignment, got %q", line)
+		return ids, fmt.Errorf("expected assignment, got %q", line)
 	}
-	lhs := strings.TrimSpace(line[:eq])
-	rhs := strings.TrimSpace(line[eq+1:])
-	if lhs == "" {
-		return fmt.Errorf("empty net name in %q", line)
+	lhs := bytes.TrimSpace(line[:eq])
+	rhs := bytes.TrimSpace(line[eq+1:])
+	if len(lhs) == 0 {
+		return ids, fmt.Errorf("empty net name in %q", line)
 	}
-	open := strings.IndexByte(rhs, '(')
-	closeIdx := strings.LastIndexByte(rhs, ')')
+	open := bytes.IndexByte(rhs, '(')
+	closeIdx := bytes.LastIndexByte(rhs, ')')
 	if open < 0 || closeIdx < open {
-		return fmt.Errorf("malformed gate expression %q", rhs)
+		return ids, fmt.Errorf("malformed gate expression %q", rhs)
 	}
-	typName := strings.ToUpper(strings.TrimSpace(rhs[:open]))
-	// Common .bench aliases.
-	switch typName {
-	case "BUFF":
-		typName = "BUF"
-	case "INV":
-		typName = "NOT"
-	}
-	typ, ok := netlist.ParseGateType(typName)
+	typ, ok := parseTypeToken(bytes.TrimSpace(rhs[:open]))
 	if !ok {
-		return fmt.Errorf("unknown gate type %q", strings.TrimSpace(rhs[:open]))
+		return ids, fmt.Errorf("unknown gate type %q", bytes.TrimSpace(rhs[:open]))
 	}
-	var fanins []string
-	for _, f := range strings.Split(rhs[open+1:closeIdx], ",") {
-		f = strings.TrimSpace(f)
-		if f == "" {
-			return fmt.Errorf("empty fanin in %q", line)
+
+	// Validate the fanin fields before interning anything, so a rejected
+	// line leaves the symbol table untouched.
+	content := rhs[open+1 : closeIdx]
+	nFanin := 0
+	for field, rest := splitComma(content); ; field, rest = splitComma(rest) {
+		if len(bytes.TrimSpace(field)) == 0 {
+			return ids, fmt.Errorf("empty fanin in %q", line)
 		}
-		fanins = append(fanins, f)
+		nFanin++
+		if rest == nil {
+			break
+		}
 	}
 	switch typ {
 	case netlist.Input:
-		return fmt.Errorf("INPUT is a directive, not a gate type: %q", line)
+		return ids, fmt.Errorf("INPUT is a directive, not a gate type: %q", line)
 	case netlist.DFF:
-		if len(fanins) != 1 {
-			return fmt.Errorf("DFF takes exactly one fanin: %q", line)
+		if nFanin != 1 {
+			return ids, fmt.Errorf("DFF takes exactly one fanin: %q", line)
 		}
-		_, err := b.AddDFF(lhs, fanins[0])
-		return err
-	default:
-		_, err := b.AddGate(lhs, typ, fanins...)
-		return err
 	}
+
+	// Interning order matches Builder's name-based API: LHS first, then
+	// the fanins left to right, so both paths assign identical net IDs.
+	id := b.Intern(lhs)
+	ids = ids[:0]
+	for field, rest := splitComma(content); ; field, rest = splitComma(rest) {
+		ids = append(ids, b.Intern(bytes.TrimSpace(field)))
+		if rest == nil {
+			break
+		}
+	}
+	if typ == netlist.DFF {
+		return ids, b.DefineDFF(id, ids[0])
+	}
+	return ids, b.DefineGate(id, typ, ids)
+}
+
+// splitComma returns the bytes before the first comma and the remainder
+// after it (nil when no comma remains — note nil, not empty: a trailing
+// comma yields a final empty field, exactly like strings.Split).
+func splitComma(s []byte) (field, rest []byte) {
+	if i := bytes.IndexByte(s, ','); i >= 0 {
+		return s[:i], s[i+1:]
+	}
+	return s, nil
+}
+
+// hasUpperPrefix reports whether strings.ToUpper(line) would start with
+// prefix (an ASCII upper-case literal). Decoding rune by rune keeps the
+// exotic cases — 'ı' upper-cases to ASCII 'I' — identical to
+// strings.ToUpper without materializing the upper-cased line.
+func hasUpperPrefix(line []byte, prefix string) bool {
+	i := 0
+	for j := 0; j < len(prefix); j++ {
+		if i >= len(line) {
+			return false
+		}
+		r, sz := utf8.DecodeRune(line[i:])
+		if unicode.ToUpper(r) != rune(prefix[j]) {
+			return false
+		}
+		i += sz
+	}
+	return true
+}
+
+// parseTypeToken resolves a gate-type token, upper-casing rune-wise the
+// way strings.ToUpper would and folding the BUFF/INV aliases.
+func parseTypeToken(tok []byte) (netlist.GateType, bool) {
+	var up [8]byte // longest accepted name is OUTPUT/6; 8 covers all
+	n := 0
+	for i := 0; i < len(tok); {
+		r, sz := utf8.DecodeRune(tok[i:])
+		i += sz
+		u := unicode.ToUpper(r)
+		if u >= utf8.RuneSelf || n == len(up) {
+			return 0, false // non-ASCII or too long: no type matches
+		}
+		up[n] = byte(u)
+		n++
+	}
+	switch string(up[:n]) {
+	case "INPUT":
+		return netlist.Input, true
+	case "DFF":
+		return netlist.DFF, true
+	case "BUF", "BUFF":
+		return netlist.Buf, true
+	case "NOT", "INV":
+		return netlist.Not, true
+	case "AND":
+		return netlist.And, true
+	case "NAND":
+		return netlist.Nand, true
+	case "OR":
+		return netlist.Or, true
+	case "NOR":
+		return netlist.Nor, true
+	case "XOR":
+		return netlist.Xor, true
+	case "XNOR":
+		return netlist.Xnor, true
+	}
+	return 0, false
 }
 
 // Write serializes a netlist in .bench format. Output order is: inputs,

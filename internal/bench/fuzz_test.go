@@ -6,10 +6,11 @@ import (
 	"testing"
 
 	"superpose/internal/netlist"
+	"superpose/internal/oracle"
 )
 
-// FuzzParse throws arbitrary text at the .bench parsers: neither may
-// panic, the streaming parser must agree with the legacy one
+// FuzzParse throws arbitrary text at Parse and the oracle's original
+// .bench parser: neither may panic, Parse must agree with the oracle
 // gate-for-gate (or both must reject), and anything accepted must
 // survive a Write/Parse round trip.
 func FuzzParse(f *testing.F) {
@@ -20,8 +21,8 @@ func FuzzParse(f *testing.F) {
 	f.Add("INPUT(a)\nx = DFF(a)\nOUTPUT(x)\n")
 	f.Add("OUTPUT(z)\nINPUT(a)\nz = BUFF(a)\ny = INV(z)\n")
 	f.Fuzz(func(t *testing.T, src string) {
-		n, err := Parse(strings.NewReader(src), "fuzz")
-		sn, serr := ParseStream(strings.NewReader(src), "fuzz")
+		n, err := oracle.ParseBench(strings.NewReader(src), "fuzz")
+		sn, serr := Parse(strings.NewReader(src), "fuzz")
 		if (err == nil) != (serr == nil) {
 			t.Fatalf("parser disagreement: legacy err %v, streaming err %v\n%s", err, serr, src)
 		}

@@ -3,9 +3,11 @@ package service
 import (
 	"context"
 	"fmt"
+	"strings"
 	"sync"
 	"time"
 
+	"superpose/internal/bench"
 	"superpose/internal/core"
 	"superpose/internal/tester"
 	"superpose/internal/trust"
@@ -155,6 +157,11 @@ func (s JobSpec) Validate() error {
 		}
 		if s.Infect != 0 {
 			return fmt.Errorf("infect applies to inline bench jobs only")
+		}
+	}
+	if s.Bench != "" {
+		if _, err := bench.Parse(strings.NewReader(s.Bench), "bench"); err != nil {
+			return err
 		}
 	}
 	if s.Infect < 0 {

@@ -30,6 +30,13 @@ type journalRecord struct {
 // jobs when the disk misbehaves (availability over durability) — the
 // operator sees journal_errors climbing in /v1/stats.
 func (s *Server) journalAppend(rec journalRecord) {
+	s.jmu.Lock()
+	defer s.jmu.Unlock()
+	s.journalAppendLocked(rec)
+}
+
+// journalAppendLocked is journalAppend for a caller holding jmu.
+func (s *Server) journalAppendLocked(rec journalRecord) {
 	if s.journal == nil || s.journalDead.Load() {
 		return
 	}
@@ -38,8 +45,6 @@ func (s *Server) journalAppend(rec journalRecord) {
 		s.counters.journalErrors.Add(1)
 		return
 	}
-	s.jmu.Lock()
-	defer s.jmu.Unlock()
 	if err := s.journal.Append(payload); err != nil {
 		s.counters.journalErrors.Add(1)
 		return
@@ -50,9 +55,19 @@ func (s *Server) journalAppend(rec journalRecord) {
 	}
 }
 
-func (s *Server) journalSubmit(j *Job) {
+// enqueueJournaled enqueues j and journals its submit record as one step
+// under jmu. A worker may dequeue the job at once, and its start record
+// (journalStart takes jmu too) must not reach the journal ahead of the
+// submit record: replay would drop the start of a job it has not seen.
+func (s *Server) enqueueJournaled(j *Job) error {
+	s.jmu.Lock()
+	defer s.jmu.Unlock()
+	if err := s.queue.TryEnqueue(j); err != nil {
+		return err
+	}
 	spec := j.Spec
-	s.journalAppend(journalRecord{Type: "submit", ID: j.ID, Spec: &spec})
+	s.journalAppendLocked(journalRecord{Type: "submit", ID: j.ID, Spec: &spec})
+	return nil
 }
 
 func (s *Server) journalStart(j *Job, attempt int) {

@@ -476,7 +476,7 @@ func (s *Server) Submit(spec JobSpec) (*Job, error) {
 	}
 	s.mu.Unlock()
 
-	if err := s.queue.TryEnqueue(j); err != nil {
+	if err := s.enqueueJournaled(j); err != nil {
 		cancel()
 		s.mu.Lock()
 		delete(s.jobs, id)
@@ -490,7 +490,6 @@ func (s *Server) Submit(spec JobSpec) (*Job, error) {
 	s.counters.jobsSubmitted.Add(1)
 	s.counters.queueDepth.Store(int64(s.queue.Depth()))
 	s.tenantAdd(spec.Tenant, 1)
-	s.journalSubmit(j)
 	return j, nil
 }
 
@@ -558,11 +557,20 @@ func (e *shedError) Error() string {
 		e.profile, e.retryAfter.Round(time.Millisecond))
 }
 
+// maxSubmitBytes caps a job-spec body: 16 MiB, the .bench parser's
+// line cap, so an inline netlist cannot exhaust memory before Validate.
+const maxSubmitBytes = 16 << 20
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec JobSpec
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			httpError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("job spec exceeds %d bytes", tooBig.Limit))
+			return
+		}
 		httpError(w, http.StatusBadRequest, fmt.Sprintf("malformed job spec: %v", err))
 		return
 	}

@@ -130,6 +130,8 @@ func TestSubmitRejections(t *testing.T) {
 		{"bad scale", `{"kind":"detect","case":"s35932-T200","scale":7}`},
 		{"infect with case", `{"kind":"detect","case":"s35932-T200","infect":2}`},
 		{"bad tester", `{"kind":"detect","case":"s35932-T200","tester":"volcano"}`},
+		{"malformed bench", `{"kind":"detect","bench":"INPUT(a)\nOUTPUT(z)\nz = FROB(a)\n"}`},
+		{"undefined bench net", `{"kind":"detect","bench":"INPUT(a)\nOUTPUT(z)\nz = NOT(b)\n"}`},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			resp, _ := postJob(t, ts, tc.body)
@@ -137,6 +139,21 @@ func TestSubmitRejections(t *testing.T) {
 				t.Errorf("HTTP %d, want 400", resp.StatusCode)
 			}
 		})
+	}
+}
+
+// An oversized body is refused with 413 before it is decoded in full.
+// The spec itself is valid: only its whitespace padding is too long.
+func TestSubmitBodyTooLarge(t *testing.T) {
+	_, ts := newTestServer(t, Options{}, func(ctx context.Context, j *Job) error { return nil })
+	body := `{"kind":"detect",` + strings.Repeat(" ", maxSubmitBytes) + `"case":"s35932-T200"}`
+	resp, _ := postJob(t, ts, body)
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("HTTP %d, want 413", resp.StatusCode)
+	}
+	resp, _ = postJob(t, ts, detectBody)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Errorf("small spec after an oversized one: HTTP %d, want 202", resp.StatusCode)
 	}
 }
 

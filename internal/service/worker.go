@@ -41,12 +41,16 @@ func (s *Server) workerLoop() {
 			s.counters.jobsCancelled.Add(1)
 			continue
 		}
+		// The start record is durable before the job shows as running,
+		// so a crash that observes "running" finds the attempt journaled.
+		attempt := j.nextAttempt()
+		s.journalStart(j, attempt)
 		if !j.start() {
 			s.journalFinish(j)
 			s.counters.jobsCancelled.Add(1)
 			continue
 		}
-		s.runJob(j)
+		s.runJob(j, attempt)
 	}
 }
 
@@ -59,8 +63,9 @@ var errJobPanic = errors.New("service: job panicked")
 // runJob drives one job to a terminal state: attempt, classify, retry
 // transient failures with decorrelated-jitter backoff while attempts
 // and the server-wide retry budget last, then finish and settle the
-// books (counters, breaker, journal).
-func (s *Server) runJob(j *Job) {
+// books (counters, breaker, journal). attempt is the first attempt's
+// number, already journaled by the caller.
+func (s *Server) runJob(j *Job, attempt int) {
 	run := s.runHook
 	if run == nil {
 		run = s.opts.Runner
@@ -87,8 +92,6 @@ func (s *Server) runJob(j *Job) {
 
 	var err error
 	for {
-		attempt := j.nextAttempt()
-		s.journalStart(j, attempt)
 		err = s.runSafe(ctx, run, j)
 		if err == nil || ctx.Err() != nil || !transientErr(err) {
 			break
@@ -106,6 +109,8 @@ func (s *Server) runJob(j *Job) {
 		if retry.Sleep(ctx, backoff.Next()) != nil {
 			break // cancelled or deadlined during backoff; classify below
 		}
+		attempt = j.nextAttempt()
+		s.journalStart(j, attempt)
 	}
 
 	br := s.breaker(j.Spec.Tester)

@@ -1,8 +1,6 @@
 package sim
 
 import (
-	"strings"
-
 	"superpose/internal/logic"
 	"superpose/internal/netlist"
 	"superpose/internal/scratch"
@@ -49,19 +47,6 @@ func (k EngineKind) String() string {
 	default:
 		return "EngineKind(?)"
 	}
-}
-
-// ParseEngineKind converts a flag value to an EngineKind.
-func ParseEngineKind(s string) (EngineKind, bool) {
-	switch strings.ToLower(s) {
-	case "", "auto":
-		return EngineAuto, true
-	case "ppsfp":
-		return EnginePPSFP, true
-	case "scalar", "legacy":
-		return EngineScalar, true
-	}
-	return EngineAuto, false
 }
 
 // PPSFP is the 64-patterns-per-word batch launcher over the

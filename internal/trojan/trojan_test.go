@@ -7,6 +7,7 @@ import (
 	"superpose/internal/bench"
 	"superpose/internal/logic"
 	"superpose/internal/netlist"
+	"superpose/internal/oracle"
 	"superpose/internal/scan"
 	"superpose/internal/sim"
 	"superpose/internal/stats"
@@ -495,8 +496,8 @@ func TestDormantTrojanInvisibleOverManyCycles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	good := sim.NewSeq(host)
-	bad := sim.NewSeq(inst.Infected)
+	good := oracle.NewSeq(host)
+	bad := oracle.NewSeq(inst.Infected)
 	seed := uint64(7)
 	next := func() logic.Word {
 		seed = seed*6364136223846793005 + 1442695040888963407
@@ -565,7 +566,7 @@ func TestSequentialTrojanCountsToTerminal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := sim.NewSeq(inst.Infected)
+	s := oracle.NewSeq(inst.Infected)
 	// Drive a=b=c=1, f0 state=1 so g2=g3=1 -> event on, every cycle.
 	ids := map[string]int{}
 	for _, name := range []string{"a", "b", "c"} {

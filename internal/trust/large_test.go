@@ -7,11 +7,12 @@ import (
 
 	"superpose/internal/bench"
 	"superpose/internal/netlist"
+	"superpose/internal/oracle"
 )
 
 // The capacity-tier generator must agree with itself across its two
 // consumers: text emission re-parsed through the streaming parser and
-// direct StreamBuilder construction produce bit-identical netlists,
+// direct netlist.Builder construction produce bit-identical netlists,
 // IDs included.
 func TestLargeRoundTripBitIdentical(t *testing.T) {
 	p := SizedLargeParams(20000, 0xfeed)
@@ -19,7 +20,7 @@ func TestLargeRoundTripBitIdentical(t *testing.T) {
 	if err := EmitLarge(&buf, p); err != nil {
 		t.Fatal(err)
 	}
-	parsed, err := bench.ParseStream(bytes.NewReader(buf.Bytes()), p.Name)
+	parsed, err := bench.Parse(bytes.NewReader(buf.Bytes()), p.Name)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,8 +42,8 @@ func TestLargeRoundTripBitIdentical(t *testing.T) {
 		t.Fatal("topological orders differ")
 	}
 
-	// And the legacy parser agrees with the streaming one on the text.
-	legacy, err := bench.Parse(bytes.NewReader(buf.Bytes()), p.Name)
+	// And the oracle's original parser agrees with Parse on the text.
+	legacy, err := oracle.ParseBench(bytes.NewReader(buf.Bytes()), p.Name)
 	if err != nil {
 		t.Fatal(err)
 	}

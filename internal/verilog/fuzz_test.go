@@ -6,12 +6,13 @@ import (
 	"testing"
 
 	"superpose/internal/netlist"
+	"superpose/internal/oracle"
 )
 
-// FuzzParse exercises both structural Verilog parsers with arbitrary
-// input: no panics, the streaming parser must agree with the legacy one
-// gate-for-gate (or both must reject), and accepted modules must
-// survive a Write/Parse round trip.
+// FuzzParse exercises Parse and the oracle's original structural
+// Verilog parser with arbitrary input: no panics, Parse must agree with
+// the oracle gate-for-gate (or both must reject), and accepted modules
+// must survive a Write/Parse round trip.
 func FuzzParse(f *testing.F) {
 	f.Add(miniSrc)
 	f.Add("module m(a);\ninput a;\nendmodule\n")
@@ -20,8 +21,8 @@ func FuzzParse(f *testing.F) {
 	f.Add("module m(q);\ninput d; output q;\ndff r (.CK(ck), .Q(q), .D(d));\nendmodule\n")
 	f.Add("module m(z); /* c */ input a; // x\noutput z;\nbuf g (z, a);\nendmodule\n")
 	f.Fuzz(func(t *testing.T, src string) {
-		n, err := Parse(strings.NewReader(src), "fuzz")
-		sn, serr := ParseStream(strings.NewReader(src), "fuzz")
+		n, err := oracle.ParseVerilog(strings.NewReader(src), "fuzz")
+		sn, serr := Parse(strings.NewReader(src), "fuzz")
 		if (err == nil) != (serr == nil) {
 			t.Fatalf("parser disagreement: legacy err %v, streaming err %v\n%s", err, serr, src)
 		}

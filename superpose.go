@@ -101,10 +101,6 @@ const (
 	EngineScalar = sim.EngineScalar
 )
 
-// ParseEngineKind converts a flag value ("auto", "ppsfp", "scalar") to an
-// EngineKind.
-func ParseEngineKind(s string) (EngineKind, bool) { return sim.ParseEngineKind(s) }
-
 // ConfigureScan partitions a netlist's flip-flops into numChains chains.
 func ConfigureScan(n *Netlist, numChains int) *Chains { return scan.Configure(n, numChains) }
 
